@@ -11,8 +11,6 @@ precisely because intra-cluster gains are high.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
 
 from ..exceptions import SchedulingError
 from ..workloads import BatchQuerySet
@@ -74,6 +72,10 @@ def cluster_queries(
     if num_clusters == n:
         assignments = np.arange(n)
     else:
+        # Imported here: scipy.cluster is about half the cost of `import repro`.
+        from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import squareform
+
         symmetric = (gain_matrix + gain_matrix.T) / 2.0
         distance = symmetric.max() - symmetric
         np.fill_diagonal(distance, 0.0)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SimulatorConfig
 from repro.core import (
@@ -18,6 +24,7 @@ from repro.core import (
 )
 from repro.dbms import RunningParameters
 from repro.exceptions import SchedulingError, SimulationError
+from repro.nn import MLP, Adam, Tensor, mse_loss, no_grad
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,154 @@ class TestSchedulingGain:
         assert completed.shape == observed.shape
 
 
+def _tape_forward(model, embedding_i, embedding_j):
+    forward_pair = Tensor(np.concatenate([embedding_i, embedding_j]))
+    reverse_pair = Tensor(np.concatenate([embedding_j, embedding_i]))
+    return (model.net(forward_pair) + model.net(reverse_pair)).reshape(1)
+
+
+def _tape_fit(model, embeddings, gains, observed, epochs=30, learning_rate=1e-2, seed=0):
+    """Reference fit through the autograd tape: the oracle for ``GainModel.fit``."""
+    n = gains.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if observed[i, j]]
+    optimizer = Adam(model.parameters(), lr=learning_rate)
+    rng = np.random.default_rng(seed)
+    losses = []
+    for _ in range(epochs):
+        rng.shuffle(pairs)
+        epoch_losses = []
+        for i, j in pairs:
+            loss = mse_loss(_tape_forward(model, embeddings[i], embeddings[j]), np.array([gains[i, j]]))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            epoch_losses.append(float(loss.data))
+        losses.append(float(np.mean(epoch_losses)))
+    return losses
+
+
+def _tape_gain_matrix(log, batch, plan_embeddings, hidden_dim=32, epochs=30, seed=0):
+    """Reference ``build_gain_matrix``: tape fit, tape forward for the unobserved pairs."""
+    gains, observed = compute_scheduling_gains(log, batch)
+    model = GainModel(plan_embeddings.shape[1], hidden_dim, np.random.default_rng(seed))
+    _tape_fit(model, plan_embeddings, gains, observed, epochs=epochs, seed=seed)
+    completed = gains.copy()
+    with no_grad():
+        for i in range(len(batch)):
+            for j in range(i + 1, len(batch)):
+                if not observed[i, j]:
+                    value = float(_tape_forward(model, plan_embeddings[i], plan_embeddings[j]).data[0])
+                    completed[i, j] = completed[j, i] = value
+    return completed
+
+
+def _assert_fits_match_tape(embeddings, gains, observed, hidden, epochs, seed):
+    fast = GainModel(embeddings.shape[1], hidden, np.random.default_rng(seed))
+    tape = GainModel(embeddings.shape[1], hidden, np.random.default_rng(seed))
+    fast_losses = fast.fit(embeddings, gains, observed, epochs=epochs, seed=seed)
+    tape_losses = _tape_fit(tape, embeddings, gains, observed, epochs=epochs, seed=seed)
+    assert fast_losses == tape_losses
+    for (name, got), (_, want) in zip(fast.named_parameters(), tape.named_parameters()):
+        assert np.array_equal(got.data, want.data), name
+    return fast, tape
+
+
+class TestGainModelMatchesTape:
+    """The hand-derived fit is bit-identical to fitting through the tape."""
+
+    def test_fit_is_bit_identical(self, history_log, tpch_batch, plan_embeddings):
+        gains, observed = compute_scheduling_gains(history_log, tpch_batch)
+        fast, tape = _assert_fits_match_tape(plan_embeddings, gains, observed, hidden=16, epochs=8, seed=3)
+        with no_grad():
+            want = float(_tape_forward(tape, plan_embeddings[0], plan_embeddings[5]).data[0])
+        assert fast.predict(plan_embeddings[0], plan_embeddings[5]) == want
+
+    def test_gain_matrix_is_bit_identical(self, history_log, tpch_batch, plan_embeddings):
+        fast = build_gain_matrix(history_log, tpch_batch, plan_embeddings, hidden_dim=16, epochs=6, seed=7)
+        tape = _tape_gain_matrix(history_log, tpch_batch, plan_embeddings, hidden_dim=16, epochs=6, seed=7)
+        assert np.array_equal(fast, tape)
+
+    @given(
+        n=st.integers(min_value=2, max_value=7),
+        dim=st.integers(min_value=1, max_value=9),
+        hidden=st.integers(min_value=1, max_value=12),
+        epochs=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        mask_bits=st.integers(min_value=1, max_value=2**21 - 1),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_fit_matches_tape_on_generated_problems(self, n, dim, hidden, epochs, seed, mask_bits):
+        rng = np.random.default_rng(seed)
+        embeddings = rng.normal(size=(n, dim))
+        gains = rng.normal(0.0, 0.3, size=(n, n))
+        gains = gains + gains.T
+        # One bit per pair i < j (at most 21 pairs for n = 7).
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        observed = np.zeros((n, n), dtype=bool)
+        for bit, (i, j) in enumerate(upper):
+            if mask_bits >> bit & 1:
+                observed[i, j] = observed[j, i] = True
+        if not observed.any():
+            observed[0, 1] = observed[1, 0] = True
+        _assert_fits_match_tape(embeddings, gains, observed, hidden, epochs, seed)
+
+
+class TestGainInputValidation:
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(0)
+        embeddings = rng.normal(size=(4, 3))
+        gains = np.full((4, 4), 0.1)
+        observed = ~np.eye(4, dtype=bool)
+        return GainModel(3, 5, rng), embeddings, gains, observed
+
+    def test_embedding_rows_must_match_gains(self, problem):
+        model, embeddings, gains, observed = problem
+        with pytest.raises(SchedulingError, match="plan embeddings"):
+            model.fit(embeddings[:3], gains, observed, epochs=1)
+
+    def test_build_gain_matrix_checks_embedding_rows(self, history_log, tpch_batch, plan_embeddings):
+        with pytest.raises(SchedulingError, match="plan embeddings"):
+            build_gain_matrix(history_log, tpch_batch, plan_embeddings[:-1], hidden_dim=4, epochs=1)
+
+    def test_observed_shape_must_match_gains(self, problem):
+        model, embeddings, gains, observed = problem
+        with pytest.raises(SchedulingError, match="observed mask shape"):
+            model.fit(embeddings, gains, observed[:3, :3], epochs=1)
+
+    def test_observed_must_be_symmetric(self, problem):
+        model, embeddings, gains, observed = problem
+        observed[0, 1] = False
+        with pytest.raises(SchedulingError, match="symmetric"):
+            model.fit(embeddings, gains, observed, epochs=1)
+
+    def test_observed_gains_must_be_finite(self, problem):
+        model, embeddings, gains, observed = problem
+        gains[2, 3] = gains[3, 2] = np.nan
+        with pytest.raises(SchedulingError, match="finite"):
+            model.fit(embeddings, gains, observed, epochs=1)
+
+    def test_unobserved_gains_may_be_anything(self, problem):
+        model, embeddings, gains, observed = problem
+        gains[2, 3] = gains[3, 2] = np.inf
+        observed[2, 3] = observed[3, 2] = False
+        assert len(model.fit(embeddings, gains, observed, epochs=1)) == 1
+
+    def test_net_must_be_two_layer_tanh(self, problem):
+        model, embeddings, gains, observed = problem
+        model.net = MLP([6, 5, 1], np.random.default_rng(1), activation="relu")
+        with pytest.raises(SchedulingError, match="tanh"):
+            model.fit(embeddings, gains, observed, epochs=1)
+        with pytest.raises(SchedulingError, match="tanh"):
+            model.predict(embeddings[0], embeddings[1])
+
+    def test_net_must_have_one_hidden_layer(self, problem):
+        model, embeddings, gains, observed = problem
+        model.net = MLP([6, 5, 5, 1], np.random.default_rng(1), activation="tanh")
+        with pytest.raises(SchedulingError, match="MLP"):
+            model.fit(embeddings, gains, observed, epochs=1)
+
+
 class TestClustering:
     def test_cluster_count_and_coverage(self, history_log, tpch_batch, tpch_knowledge):
         gains, _ = compute_scheduling_gains(history_log, tpch_batch)
@@ -102,6 +257,15 @@ class TestClustering:
             cluster_queries(tpch_batch, np.zeros((2, 2)), num_clusters=2)
         with pytest.raises(SchedulingError):
             cluster_queries(tpch_batch, np.zeros((n, n)), num_clusters=0)
+
+    def test_import_repro_leaves_scipy_cluster_unloaded(self):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, repro; print(sorted(m for m in sys.modules if m.startswith('scipy.cluster')))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_cluster_of_matches_members(self, history_log, tpch_batch):
         gains, _ = compute_scheduling_gains(history_log, tpch_batch)
